@@ -24,10 +24,16 @@ TrialResult RunTrial(const std::function<int()>& body, Duration timeout) {
     return result;  // fork failure: reported as neither completed nor deadlocked
   }
   if (pid == 0) {
-    // Child. _exit (not exit) so no parent-owned atexit handlers run twice.
+    // Child: lead a process group of its own, so that a timeout also kills
+    // whatever the body forked. _exit (not exit) so no parent-owned atexit
+    // handlers run twice.
+    setpgid(0, 0);
     const int code = body();
     _exit(code);
   }
+  // Also from the parent: whichever of the two runs first, the group exists
+  // before the deadline can fire.
+  setpgid(pid, pid);
   const MonoTime deadline = start + timeout;
   for (;;) {
     int status = 0;
@@ -39,7 +45,7 @@ TrialResult RunTrial(const std::function<int()>& body, Duration timeout) {
       return result;
     }
     if (Now() >= deadline) {
-      kill(pid, SIGKILL);
+      kill(-pid, SIGKILL);
       waitpid(pid, &status, 0);
       result.deadlocked = true;
       result.elapsed = Now() - start;

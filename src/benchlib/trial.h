@@ -41,9 +41,10 @@ struct TrialResult {
   Duration elapsed{};
 };
 
-// Forks; the child runs `body` and exits with its return value. The parent
-// waits up to `timeout`, killing the child (SIGKILL) if it is still alive —
-// which the caller interprets as a deadlock.
+// Forks; the child runs `body` in a process group of its own and exits with
+// its return value. The parent waits up to `timeout`, killing the child's
+// whole process group (SIGKILL) if the child is still alive — which the
+// caller interprets as a deadlock.
 TrialResult RunTrial(const std::function<int()>& body, Duration timeout);
 
 // --- Machine-readable perf reports ------------------------------------------

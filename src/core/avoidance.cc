@@ -185,12 +185,12 @@ void AvoidanceEngine::AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlo
 }
 
 void AvoidanceEngine::RemoveTupleLocked(SlotStripe& stripe, StackId stack, StackSlot* slot,
-                                        ThreadId thread, LockId lock, bool held) {
+                                        ThreadId thread, LockId lock, AcquireMode mode) {
   auto& tuples = slot->tuples;
   auto victim = tuples.end();
   for (auto it = tuples.begin(); it != tuples.end(); ++it) {
     if (it->thread == thread && it->lock == lock) {
-      if (it->held == held) {
+      if (it->mode == mode) {
         victim = it;
         break;
       }
@@ -238,11 +238,12 @@ void AvoidanceEngine::AddTuple(StackId stack, const AllowedTuple& tuple) {
   AddTupleLocked(stripe, stack, slot, tuple);
 }
 
-void AvoidanceEngine::RemoveTuple(StackId stack, ThreadId thread, LockId lock, bool held) {
+void AvoidanceEngine::RemoveTuple(StackId stack, ThreadId thread, LockId lock,
+                                  AcquireMode mode) {
   StackSlot* slot = SlotFor(stack);
   SlotStripe& stripe = StripeOf(stack);
   std::lock_guard<SpinLock> guard(stripe.lock);
-  RemoveTupleLocked(stripe, stack, slot, thread, lock, held);
+  RemoveTupleLocked(stripe, stack, slot, thread, lock, mode);
 }
 
 const AvoidanceEngine::SigGen* AvoidanceEngine::AcquireGenRef(ThreadSlot& slot) const {
@@ -386,7 +387,8 @@ bool AvoidanceEngine::CoverPositions(
 }
 
 std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::MatchAndRetire(
-    ThreadId thread, LockId lock, StackId stack, ThreadSlot& slot, bool yield_on_match) {
+    ThreadId thread, LockId lock, AcquireMode mode, StackId stack, ThreadSlot& slot,
+    bool yield_on_match) {
   SlotEpochGuard epoch(*this, thread);
   // Cover-search span: how long the matcher held everyone else out looking
   // for an instantiation. aux carries the matched signature (kNoMatchAux on
@@ -465,7 +467,7 @@ std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::MatchAndRetire(
     // epoch still excludes releasers: a releaser whose tuple we matched
     // cannot finish removing it (and thus cannot scan the yield set)
     // before we are registered, so its wake cannot be lost.
-    RemoveTupleLocked(StripeOf(stack), stack, SlotFor(stack), thread, lock, /*held=*/false);
+    RemoveTupleLocked(StripeOf(stack), stack, SlotFor(stack), thread, lock, mode);
     if (yield_on_match) {
       RegisterYield(thread, slot, result);
     }
@@ -512,8 +514,8 @@ bool AvoidanceEngine::CoverStillStands(const MatchResult& result,
     }
     bool present = false;
     for (const AllowedTuple& t : slot->tuples) {
-      // The held flag may have flipped (allow -> hold on commit) since the
-      // scan; the edge is the same instantiation either way.
+      // The tuple may have gone from allow to hold edge since the scan
+      // (commit leaves it in place); the instantiation is the same.
       if (t.thread == cause.thread && t.lock == cause.lock && t.mode == cause.mode) {
         present = true;
         break;
@@ -527,8 +529,8 @@ bool AvoidanceEngine::CoverStillStands(const MatchResult& result,
 }
 
 AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
-    ThreadId thread, LockId lock, StackId stack, ThreadSlot& slot, bool yield_on_match,
-    const SigGen& gen, MatchResult* result) {
+    ThreadId thread, LockId lock, AcquireMode mode, StackId stack, ThreadSlot& slot,
+    bool yield_on_match, const SigGen& gen, MatchResult* result) {
   // Bounded validation churn: every retry means a matched tuple was retired
   // mid-decision. Persistent churn is real contention on the instantiation
   // itself, which only the epoch can arbitrate.
@@ -651,7 +653,6 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
     // Cover search on the private copies — same algorithm, zero shared
     // state. First matching signature wins, mirroring MatchAndRetire.
     MatchResult local;
-    AcquireMode self_mode = AcquireMode::kExclusive;
     bool found = false;
     for (std::size_t c = 0; c < cands.size() && !found; ++c) {
       const SigGen::Entry& sig = gen.entries[cands[c]];
@@ -671,7 +672,6 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
       local.deepest = std::max(deepest, sig.depth);
       for (std::size_t j = 0; j < cover.chosen.size(); ++j) {
         if (cover.chosen[j].thread == thread && cover.chosen[j].lock == lock) {
-          self_mode = cover.chosen[j].mode;
           continue;
         }
         local.others.push_back(YieldCause{cover.chosen[j].thread, cover.chosen[j].lock,
@@ -698,7 +698,7 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
     if (yield_on_match) {
       RegisterYield(thread, slot, local);
     }
-    RemoveTuple(stack, thread, lock, /*held=*/false);
+    RemoveTuple(stack, thread, lock, mode);
     if (CoverStillStands(local, scan_versions)) {
       stats_.match_fast_path.fetch_add(1, std::memory_order_relaxed);
       *result = std::move(local);
@@ -707,7 +707,7 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
     }
     // A matched tuple was retired under us: roll back (re-adding our
     // tentative tuple restores the add-before-scan protocol) and rescan.
-    AddTuple(stack, AllowedTuple{thread, lock, false, self_mode});
+    AddTuple(stack, AllowedTuple{thread, lock, mode});
     if (yield_on_match) {
       UnregisterYield(thread, slot);
     }
@@ -755,11 +755,18 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
     return RequestDecision::kGo;
   }
 
-  std::vector<Frame> captured = CaptureStack();
-  if (pub != nullptr) {
-    captured.insert(captured.begin(), pub->ProcFrame());
+  // Annotated stacks resolve through the thread's rolling hash with no
+  // copy; a native or over-deep stack is captured here (the capture's skip
+  // count assumes this frame) and interned whole.
+  const Frame proc_frame = pub != nullptr ? pub->ProcFrame() : kInvalidFrame;
+  StackId stack = stacks_->InternAnnotated(ThreadAnnotatedStack(), proc_frame);
+  if (stack == kInvalidStackId) {
+    std::vector<Frame> captured = CaptureStack();
+    if (pub != nullptr) {
+      captured.insert(captured.begin(), proc_frame);
+    }
+    stack = stacks_->Intern(captured);
   }
-  const StackId stack = stacks_->Intern(captured);
 
   for (;;) {
     if (slot.acquisition_canceled.load(std::memory_order_acquire)) {
@@ -792,7 +799,7 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
 
     // Tentatively add the allow edge to the RAG cache (§5.4) — before the
     // fast reject, so two racing requesters cannot both miss each other.
-    AddTuple(stack, AllowedTuple{thread, lock, false, mode});
+    AddTuple(stack, AllowedTuple{thread, lock, mode});
     slot.pending_stack = stack;
     slot.pending_lock = lock;
     if (pub != nullptr) {
@@ -815,7 +822,8 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
         // its live counters) across the scan. The scan embeds the §5.6 fast
         // reject, so no separate plausibility pre-pass runs here.
         MatchResult fast;
-        switch (TryMatchIncremental(thread, lock, stack, slot, yield_on_match, *gen, &fast)) {
+        switch (
+            TryMatchIncremental(thread, lock, mode, stack, slot, yield_on_match, *gen, &fast)) {
           case FastMatchOutcome::kMatched:
             match = std::move(fast);
             break;
@@ -831,7 +839,7 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
       ReleaseGenRef(slot);
       if (need_epoch) {
         stats_.match_slow_path.fetch_add(1, std::memory_order_relaxed);
-        match = MatchAndRetire(thread, lock, stack, slot, yield_on_match);
+        match = MatchAndRetire(thread, lock, mode, stack, slot, yield_on_match);
       }
       if (match.has_value() && yield_on_match &&
           yield_count_.load(std::memory_order_seq_cst) > 0) {
@@ -854,7 +862,7 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
         // counted but not enforced. MatchAndRetire retired the allow edge;
         // restore it, since the thread proceeds to blocking on the lock.
         stats_.yields.fetch_add(1, std::memory_order_relaxed);
-        AddTuple(stack, AllowedTuple{thread, lock, false, mode});
+        AddTuple(stack, AllowedTuple{thread, lock, mode});
       }
       Event allow_ev;
       allow_ev.type = EventType::kAllow;
@@ -866,6 +874,9 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
       stats_.gos.fetch_add(1, std::memory_order_relaxed);
       return RequestDecision::kGo;
     }
+
+    // The match retired our allow tuple; nothing of this request stands.
+    slot.pending_lock = kInvalidLockId;
 
     // The kRequest event is only pushed on the yield path: for an immediate
     // GO the monitor-side RAG nets kRequest -> kAllow down to the kAllow
@@ -961,7 +972,7 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
                             << " auto-disabled: too risky to avoid (abort bound reached)";
       }
       // Proceed despite the danger: the thread is released from the yield.
-      AddTuple(stack, AllowedTuple{thread, lock, false, mode});
+      AddTuple(stack, AllowedTuple{thread, lock, mode});
       slot.pending_stack = stack;
       slot.pending_lock = lock;
       Event allow_ev;
@@ -1006,11 +1017,15 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
   if (pub != nullptr && !IsGlobalLockId(lock)) {
     pub = nullptr;
   }
-  std::vector<Frame> captured = CaptureStack();
-  if (pub != nullptr) {
-    captured.insert(captured.begin(), pub->ProcFrame());
+  const Frame proc_frame = pub != nullptr ? pub->ProcFrame() : kInvalidFrame;
+  StackId stack = stacks_->InternAnnotated(ThreadAnnotatedStack(), proc_frame);
+  if (stack == kInvalidStackId) {  // as in Request()
+    std::vector<Frame> captured = CaptureStack();
+    if (pub != nullptr) {
+      captured.insert(captured.begin(), proc_frame);
+    }
+    stack = stacks_->Intern(captured);
   }
-  const StackId stack = stacks_->Intern(captured);
 
   bool reentrant = false;
   for (const ThreadSlot::Held& held : slot.held) {
@@ -1024,7 +1039,7 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
     return RequestDecision::kReentrant;  // caller resolves against lock kind
   }
 
-  AddTuple(stack, AllowedTuple{thread, lock, false, mode});
+  AddTuple(stack, AllowedTuple{thread, lock, mode});
   slot.pending_stack = stack;
   slot.pending_lock = lock;
   if (pub != nullptr) {
@@ -1043,7 +1058,8 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
     if (config_.incremental_matcher) {
       MatchResult fast;
       switch (
-          TryMatchIncremental(thread, lock, stack, slot, /*yield_on_match=*/false, *gen, &fast)) {
+          TryMatchIncremental(thread, lock, mode, stack, slot, /*yield_on_match=*/false, *gen,
+                              &fast)) {
         case FastMatchOutcome::kMatched:
           match = std::move(fast);
           break;
@@ -1059,9 +1075,10 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
     ReleaseGenRef(slot);
     if (need_epoch) {
       stats_.match_slow_path.fetch_add(1, std::memory_order_relaxed);
-      match = MatchAndRetire(thread, lock, stack, slot, /*yield_on_match=*/false);
+      match = MatchAndRetire(thread, lock, mode, stack, slot, /*yield_on_match=*/false);
     }
     if (match.has_value()) {
+      slot.pending_lock = kInvalidLockId;  // the match retired our allow tuple
       stats_.yields.fetch_add(1, std::memory_order_relaxed);
       history_->RecordAvoidance(match->signature_index);
       last_avoided_.store(match->signature_index, std::memory_order_relaxed);
@@ -1135,7 +1152,8 @@ void AvoidanceEngine::Acquired(ThreadId thread, LockId lock, AcquireMode mode) {
   });
   if (already_holding) {
     if (upgrade_retire && slot.pending_stack != kInvalidStackId) {
-      RemoveTuple(slot.pending_stack, thread, lock, /*held=*/false);
+      // The shared hold's tuple keeps standing for the (now exclusive) hold.
+      RemoveTuple(slot.pending_stack, thread, lock, AcquireMode::kExclusive);
     }
     for (auto& held : slot.held) {
       if (held.lock == lock) {
@@ -1148,26 +1166,17 @@ void AvoidanceEngine::Acquired(ThreadId thread, LockId lock, AcquireMode mode) {
     }
   } else {
     slot.held.push_back(ThreadSlot::Held{lock, stack, 1, mode});
-    // Allow edge -> hold edge in the RAG cache.
-    StackSlot* stack_slot = SlotFor(stack);
-    SlotStripe& stripe = StripeOf(stack);
-    std::lock_guard<SpinLock> guard(stripe.lock);
-    bool found = false;
-    for (auto& tuple : stack_slot->tuples) {
-      if (tuple.thread == thread && tuple.lock == lock) {
-        tuple.held = true;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      // Stage kInstrumentationOnly does not maintain tuples; kFull always
-      // will have inserted one.
-      if (config_.stage != EngineStage::kInstrumentationOnly) {
-        AddTupleLocked(stripe, stack, stack_slot, AllowedTuple{thread, lock, true, mode});
-      }
+    // The allow tuple Request added now stands for the hold — the Allowed
+    // set holds waiters and holders alike (§5.6) — so a granted request
+    // costs no stripe round here. Only a hold committed with no request
+    // tuple standing (an uncancellable adapter after a kBroken or kBusy
+    // answer) adds one.
+    if (slot.pending_lock != lock && stack != kInvalidStackId &&
+        config_.stage != EngineStage::kInstrumentationOnly) {
+      AddTuple(stack, AllowedTuple{thread, lock, mode});
     }
   }
+  slot.pending_lock = kInvalidLockId;
   if (GlobalEdgePublisher* pub = global_pub_.load(std::memory_order_acquire);
       pub != nullptr && IsGlobalLockId(lock)) {
     // Promotes the published wait row to a hold (reentrant holds bump the
@@ -1261,7 +1270,7 @@ void AvoidanceEngine::Release(ThreadId thread, LockId lock) {
     pub->ClearHold(thread, lock);
   }
   if (final_release) {
-    RemoveTuple(stack, thread, lock, /*held=*/true);
+    RemoveTuple(stack, thread, lock, mode);
     // Lock conditions changed in a way that could let yielders make
     // progress (§5.1: "Dimmunix reschedules the paused thread T whenever
     // lock conditions change"). yield_count_ lets the common no-yielders
@@ -1289,8 +1298,9 @@ void AvoidanceEngine::CancelRequest(ThreadId thread, LockId lock, AcquireMode mo
   }
   ThreadSlot& slot = registry_.Slot(thread);
   const StackId stack = slot.pending_stack;
+  slot.pending_lock = kInvalidLockId;
   if (stack != kInvalidStackId) {
-    RemoveTuple(stack, thread, lock, /*held=*/false);
+    RemoveTuple(stack, thread, lock, mode);
     // A canceled request retires an allow edge other yielders may have
     // matched; let them re-decide instead of waiting out their timeout.
     if (yield_count_.load(std::memory_order_seq_cst) > 0) {
@@ -1438,7 +1448,7 @@ void AvoidanceEngine::MirrorForeignWait(ThreadId thread, LockId lock, StackId st
       config_.stage == EngineStage::kInstrumentationOnly) {
     return;
   }
-  AddTuple(stack, AllowedTuple{thread, lock, false, mode});
+  AddTuple(stack, AllowedTuple{thread, lock, mode});
   DIMMUNIX_LOG(kDebug) << "foreign wait: thread " << thread << " lock " << lock << " stack "
                        << stack << " (" << stacks_->Describe(stack) << ")";
   Event ev;
@@ -1457,7 +1467,7 @@ void AvoidanceEngine::MirrorForeignWaitEnd(ThreadId thread, LockId lock, StackId
       config_.stage == EngineStage::kInstrumentationOnly) {
     return;
   }
-  RemoveTuple(stack, thread, lock, /*held=*/false);
+  RemoveTuple(stack, thread, lock, mode);
   // A withdrawn foreign wait dissolves any local instantiation built on it.
   if (yield_count_.load(std::memory_order_seq_cst) > 0) {
     WakeYieldersOf(thread, lock, stack);
@@ -1508,21 +1518,16 @@ void AvoidanceEngine::MirrorForeignHold(ThreadId thread, LockId lock, StackId st
     }
   });
   if (!already_holding) {
-    // Flip a standing foreign wait tuple into a hold, or add a fresh one —
-    // the same allow -> hold transition Acquired() performs locally.
+    // A standing foreign wait tuple already stands for the hold; otherwise
+    // (the wait was never mirrored) add one.
     StackSlot* stack_slot = SlotFor(stack);
     SlotStripe& stripe = StripeOf(stack);
     std::lock_guard<SpinLock> guard(stripe.lock);
-    bool found = false;
-    for (auto& tuple : stack_slot->tuples) {
-      if (tuple.thread == thread && tuple.lock == lock) {
-        tuple.held = true;
-        found = true;
-        break;
-      }
-    }
+    const bool found =
+        std::any_of(stack_slot->tuples.begin(), stack_slot->tuples.end(),
+                    [&](const AllowedTuple& t) { return t.thread == thread && t.lock == lock; });
     if (!found) {
-      AddTupleLocked(stripe, stack, stack_slot, AllowedTuple{thread, lock, true, mode});
+      AddTupleLocked(stripe, stack, stack_slot, AllowedTuple{thread, lock, mode});
     }
   }
   DIMMUNIX_LOG(kDebug) << "foreign hold: thread " << thread << " lock " << lock << " stack "
@@ -1559,7 +1564,7 @@ void AvoidanceEngine::MirrorForeignRelease(ThreadId thread, LockId lock, StackId
     }
   });
   if (final_release) {
-    RemoveTuple(stack, thread, lock, /*held=*/true);
+    RemoveTuple(stack, thread, lock, mode);
     // A foreign release changes lock conditions exactly like a local one:
     // yielders whose causes name this foreign hold can retry now. This is
     // the wake-up that lets a process resume once the peer it dodged has

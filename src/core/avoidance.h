@@ -247,7 +247,8 @@ class AvoidanceEngine {
   struct AllowedTuple {
     ThreadId thread = kInvalidThreadId;
     LockId lock = kInvalidLockId;
-    bool held = false;  // allow edge (false) vs hold edge (true)
+    // One tuple per acquisition: Request adds it as the allow edge, and from
+    // Acquired on the same tuple stands for the hold until Release.
     AcquireMode mode = AcquireMode::kExclusive;
   };
 
@@ -450,15 +451,15 @@ class AvoidanceEngine {
   // stripe live list and the generation's per-position live counters.
   void AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlot* slot,
                       const AllowedTuple& tuple);
-  // Removes (thread, lock)'s tuple, preferring the edge kind being retired
-  // (held: hold edge; !held: allow edge) — during an upgrade a thread can
-  // have both a shared hold tuple and an exclusive allow tuple for the same
-  // lock in the same slot.
+  // Removes (thread, lock)'s tuple, preferring one of `mode` — during an
+  // upgrade a thread has both its standing shared hold tuple and the
+  // upgrade request's exclusive tuple for the same lock, possibly in the
+  // same slot.
   void RemoveTupleLocked(SlotStripe& stripe, StackId stack, StackSlot* slot,
-                         ThreadId thread, LockId lock, bool held);
+                         ThreadId thread, LockId lock, AcquireMode mode);
   // Convenience: lock the stripe, run the op.
   void AddTuple(StackId stack, const AllowedTuple& tuple);
-  void RemoveTuple(StackId stack, ThreadId thread, LockId lock, bool held);
+  void RemoveTuple(StackId stack, ThreadId thread, LockId lock, AcquireMode mode);
 
   // Refreshes `slot`'s membership cache against `gen` if stale. Caller
   // holds the slot's stripe.
@@ -487,8 +488,9 @@ class AvoidanceEngine {
   // Authoritative search under the epoch. On a match in blocking mode
   // (yield_on_match), atomically retires the requester's allow tuple and
   // registers the yield; in nonblocking mode only retires the tuple.
-  std::optional<MatchResult> MatchAndRetire(ThreadId thread, LockId lock, StackId stack,
-                                            ThreadSlot& slot, bool yield_on_match);
+  std::optional<MatchResult> MatchAndRetire(ThreadId thread, LockId lock, AcquireMode mode,
+                                            StackId stack, ThreadSlot& slot,
+                                            bool yield_on_match);
 
   // Incremental cover search — the common-case replacement for the epoch.
   enum class FastMatchOutcome {
@@ -504,9 +506,9 @@ class AvoidanceEngine {
   // number of times before handing the decision to the epoch. Falls back
   // (never recomputes) when any live slot's membership cache is stale
   // w.r.t. `gen` — only the epoch path may recompute memberships.
-  FastMatchOutcome TryMatchIncremental(ThreadId thread, LockId lock, StackId stack,
-                                       ThreadSlot& slot, bool yield_on_match, const SigGen& gen,
-                                       MatchResult* result);
+  FastMatchOutcome TryMatchIncremental(ThreadId thread, LockId lock, AcquireMode mode,
+                                       StackId stack, ThreadSlot& slot, bool yield_on_match,
+                                       const SigGen& gen, MatchResult* result);
   // True when every non-requester tuple of `result`'s cover is still in its
   // slot (one stripe lock at a time). `scan_versions[s]` is the version
   // slot stripe `s` had during the pool scan: an unchanged stripe is valid

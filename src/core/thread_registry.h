@@ -47,6 +47,8 @@ struct ThreadSlot {
   bool yielding = false;
   std::atomic<bool> skip_avoidance_once{false};  // set when starvation is broken for T
   StackId pending_stack = kInvalidStackId;  // stack captured at Request time
+  // The lock whose request tuple stands in pending_stack's slot, until
+  // Acquired or CancelRequest consumes it; kInvalidLockId when none does.
   LockId pending_lock = kInvalidLockId;
   // Acquire-latency span start (src/obs): stamped at Request entry, consumed
   // at Acquired/CancelRequest. Owner thread only; 0 = no span open.

@@ -5,21 +5,39 @@
 namespace dimmunix {
 namespace {
 
-std::vector<Frame>& MutableStack() {
-  thread_local std::vector<Frame> stack;
-  return stack;
+struct ThreadAnnotations {
+  std::vector<Frame> frames;
+  std::vector<std::uint64_t> hashes;  // hashes[i]: the fold over frames[0..i]
+};
+
+ThreadAnnotations& Mutable() {
+  thread_local ThreadAnnotations annotations;
+  return annotations;
 }
 
 }  // namespace
 
-const std::vector<Frame>& ThreadAnnotationStack() { return MutableStack(); }
+const std::vector<Frame>& ThreadAnnotationStack() { return Mutable().frames; }
 
-void PushAnnotatedFrame(Frame frame) { MutableStack().push_back(frame); }
+AnnotatedStack ThreadAnnotatedStack() {
+  const ThreadAnnotations& a = Mutable();
+  if (a.frames.empty()) {
+    return AnnotatedStack{};
+  }
+  return AnnotatedStack{a.frames.data(), a.frames.size(), a.hashes.back()};
+}
+
+void PushAnnotatedFrame(Frame frame) {
+  ThreadAnnotations& a = Mutable();
+  a.hashes.push_back(StackHashStep(a.hashes.empty() ? kStackHashSeed : a.hashes.back(), frame));
+  a.frames.push_back(frame);
+}
 
 void PopAnnotatedFrame() {
-  auto& stack = MutableStack();
-  if (!stack.empty()) {
-    stack.pop_back();
+  ThreadAnnotations& a = Mutable();
+  if (!a.frames.empty()) {
+    a.frames.pop_back();
+    a.hashes.pop_back();
   }
 }
 

@@ -32,6 +32,17 @@ namespace dimmunix {
 // owning thread mutates it.
 const std::vector<Frame>& ThreadAnnotationStack();
 
+// The annotation stack together with its identity hash: StackHashStep
+// folded over `frames[0..depth)`, which push and pop keep current. It is the
+// stack table's index hash of the captured (reversed) stack, so a request
+// finds its interned stack without copying or rehashing the frames.
+struct AnnotatedStack {
+  const Frame* frames = nullptr;  // outermost first
+  std::size_t depth = 0;
+  std::uint64_t hash = kStackHashSeed;
+};
+AnnotatedStack ThreadAnnotatedStack();
+
 // Pushes/pops are balanced via ScopedFrame; exposed for the few places
 // (thread pools) that transfer logical stacks across threads.
 void PushAnnotatedFrame(Frame frame);

@@ -28,6 +28,14 @@ std::vector<Frame> CaptureStack(int skip = 2);
 // host program happens to use annotations).
 std::vector<Frame> CaptureNativeStack(int skip);
 
+// The frame of one native return address: the hash of its module's file
+// name (as dladdr reports it; argv[0] for the main executable) combined with
+// the address's offset from the module base. Resolved with glibc's lock-free
+// _dl_find_object and a per-thread cache of module-name hashes; dladdr per
+// address only where _dl_find_object is missing (glibc < 2.35) or cannot
+// place the address.
+Frame NativeFrame(const void* return_address);
+
 }  // namespace dimmunix
 
 #endif  // DIMMUNIX_STACK_CAPTURE_H_

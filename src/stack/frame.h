@@ -36,6 +36,17 @@ Frame FrameFromModuleOffset(std::uint64_t module_hash, std::uint64_t offset);
 // this process, otherwise "0x<hex>".
 std::string FrameName(Frame frame);
 
+// In-memory identity hash of a call stack: a word-wise fold over its frames,
+// outermost first — the order in which annotations are pushed, so a thread
+// can keep its current stack's hash up to date one step per push. The stack
+// table's index is keyed by it; it is never persisted.
+inline constexpr std::uint64_t kStackHashSeed = 0x9e3779b97f4a7c15ULL;
+
+inline std::uint64_t StackHashStep(std::uint64_t hash, Frame frame) {
+  hash = (hash ^ frame) * 0xbf58476d1ce4e5b9ULL;
+  return hash ^ (hash >> 31);
+}
+
 }  // namespace dimmunix
 
 #endif  // DIMMUNIX_STACK_FRAME_H_

@@ -3,9 +3,10 @@
 #include "src/stack/stack_table.h"
 
 #include <algorithm>
-#include <cassert>
+#include <iterator>
 
 #include "src/common/hash.h"
+#include "src/stack/capture.h"
 
 namespace dimmunix {
 namespace {
@@ -18,7 +19,6 @@ inline std::uint64_t NonZeroHash(std::uint64_t h) { return h == 0 ? 1 : h; }
 }  // namespace
 
 StackTable::StackTable(int max_depth) : max_depth_(std::max(1, max_depth)) {
-  by_depth_.resize(static_cast<std::size_t>(max_depth_));
   auto index = std::make_unique<Index>(kInitialIndexCapacity);
   index_.store(index.get(), std::memory_order_release);
   retired_.push_back(std::move(index));
@@ -39,8 +39,16 @@ std::uint64_t StackTable::SuffixHash(const std::vector<Frame>& frames, int depth
   return HashCombine(h, n);
 }
 
-StackId StackTable::Probe(const Index& index, std::uint64_t hash,
-                          const std::vector<Frame>& frames) const {
+std::uint64_t StackTable::IndexHash(const std::vector<Frame>& frames) {
+  std::uint64_t h = kStackHashSeed;
+  for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
+    h = StackHashStep(h, *it);
+  }
+  return h;
+}
+
+template <class SameFrames>
+StackId StackTable::Probe(const Index& index, std::uint64_t hash, const SameFrames& same) const {
   std::size_t i = static_cast<std::size_t>(hash) & index.mask;
   for (std::size_t step = 0; step <= index.mask; ++step) {
     const std::uint64_t slot_hash = index.slots[i].hash.load(std::memory_order_acquire);
@@ -52,7 +60,7 @@ StackId StackTable::Probe(const Index& index, std::uint64_t hash,
       // id precedes hash in publication order, so it is valid here. Full
       // 64-bit hash collisions are possible in principle: verify frames and
       // keep probing on mismatch.
-      if (id != kInvalidStackId && Get(id).frames == frames) {
+      if (id != kInvalidStackId && same(Get(id).frames)) {
         return id;
       }
     }
@@ -95,81 +103,68 @@ void StackTable::IndexInsertLocked(std::uint64_t hash, StackId id) {
 }
 
 StackId StackTable::Intern(const std::vector<Frame>& frames) {
-  const std::uint64_t full =
-      NonZeroHash(Fnv1a64(frames.data(), frames.size() * sizeof(Frame)));
-
+  const std::uint64_t hash = NonZeroHash(IndexHash(frames));
+  const auto same = [&frames](const std::vector<Frame>& entry) { return entry == frames; };
   // Lock-free fast path: the stack is usually already interned.
-  {
-    const Index* index = index_.load(std::memory_order_acquire);
-    const StackId hit = Probe(*index, full, frames);
-    if (hit != kInvalidStackId) {
-      return hit;
-    }
-  }
-
-  const StackEntry* created = nullptr;
-  StackId result = kInvalidStackId;
-  {
-    std::lock_guard<SpinLock> guard(lock_);
-    // Double-check under the lock (and against the current generation —
-    // the fast path may have probed a stale one).
-    const StackId hit = Probe(*index_.load(std::memory_order_relaxed), full, frames);
-    if (hit != kInvalidStackId) {
-      return hit;
-    }
-    StackEntry entry;
-    entry.id = static_cast<StackId>(entries_.size());
-    entry.frames = frames;
-    entry.full_hash = full;
-    entry.depth_hash.resize(static_cast<std::size_t>(max_depth_));
-    for (int d = 1; d <= max_depth_; ++d) {
-      entry.depth_hash[static_cast<std::size_t>(d - 1)] = SuffixHash(frames, d);
-    }
-    auto [stored, stored_index] = entries_.Append(std::move(entry));
-    (void)stored_index;
-    for (int d = 1; d <= max_depth_; ++d) {
-      const std::size_t di = static_cast<std::size_t>(d - 1);
-      by_depth_[di][stored->depth_hash[di]].push_back(stored->id);
-    }
-    IndexInsertLocked(full, stored->id);
-    created = stored;
-    result = stored->id;
-  }
-  if (created != nullptr) {
-    for (const auto& observer : observers_) {
-      observer(*created);
-    }
-  }
-  return result;
+  const StackId hit = Probe(*index_.load(std::memory_order_acquire), hash, same);
+  return hit != kInvalidStackId ? hit : InsertSlow(frames, hash);
 }
 
-std::vector<StackId> StackTable::MatchingAtDepth(StackId id, int depth) const {
-  depth = std::clamp(depth, 1, max_depth_);
-  const StackEntry& entry = Get(id);
-  const std::uint64_t h = entry.depth_hash[static_cast<std::size_t>(depth - 1)];
-  std::vector<StackId> candidates;
-  {
-    std::lock_guard<SpinLock> guard(lock_);
-    const auto& index = by_depth_[static_cast<std::size_t>(depth - 1)];
-    auto it = index.find(h);
-    if (it == index.end()) {
-      return {};
-    }
-    candidates = it->second;  // copy: verify frames outside the lock
+StackId StackTable::InternAnnotated(const AnnotatedStack& annotated, Frame innermost) {
+  const std::size_t depth = annotated.depth;
+  if (depth == 0 || depth > static_cast<std::size_t>(kMaxCapturedFrames)) {
+    return kInvalidStackId;
   }
-  // Verify frames (hash collisions are possible in principle).
-  std::vector<StackId> out;
-  out.reserve(candidates.size());
-  const std::size_t n = std::min(entry.frames.size(), static_cast<std::size_t>(depth));
-  for (StackId candidate : candidates) {
-    const StackEntry& other = Get(candidate);
-    const std::size_t m = std::min(other.frames.size(), static_cast<std::size_t>(depth));
-    if (m == n && std::equal(entry.frames.begin(), entry.frames.begin() + static_cast<long>(n),
-                             other.frames.begin())) {
-      out.push_back(candidate);
+  const std::size_t lead = innermost != kInvalidFrame ? 1 : 0;
+  const std::uint64_t hash =
+      NonZeroHash(lead != 0 ? StackHashStep(annotated.hash, innermost) : annotated.hash);
+  const Frame* outer_first = annotated.frames;
+  const auto same = [&](const std::vector<Frame>& entry) {
+    if (entry.size() != depth + lead || (lead != 0 && entry[0] != innermost)) {
+      return false;
     }
+    for (std::size_t k = 0; k < depth; ++k) {
+      if (entry[lead + k] != outer_first[depth - 1 - k]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const StackId hit = Probe(*index_.load(std::memory_order_acquire), hash, same);
+  if (hit != kInvalidStackId) {
+    return hit;
   }
-  return out;
+  std::vector<Frame> frames;
+  frames.reserve(depth + lead);
+  if (lead != 0) {
+    frames.push_back(innermost);
+  }
+  frames.insert(frames.end(), std::make_reverse_iterator(outer_first + depth),
+                std::make_reverse_iterator(outer_first));
+  return InsertSlow(std::move(frames), hash);
+}
+
+StackId StackTable::InsertSlow(std::vector<Frame> frames, std::uint64_t hash) {
+  std::lock_guard<SpinLock> guard(lock_);
+  // Double-check under the lock (and against the current generation — the
+  // fast path may have probed a stale one).
+  const StackId hit = Probe(*index_.load(std::memory_order_relaxed), hash,
+                            [&frames](const std::vector<Frame>& entry) { return entry == frames; });
+  if (hit != kInvalidStackId) {
+    return hit;
+  }
+  StackEntry entry;
+  entry.id = static_cast<StackId>(entries_.size());
+  entry.full_hash = hash;
+  entry.depth_hash.resize(static_cast<std::size_t>(max_depth_));
+  for (int d = 1; d <= max_depth_; ++d) {
+    entry.depth_hash[static_cast<std::size_t>(d - 1)] = SuffixHash(frames, d);
+  }
+  entry.frames = std::move(frames);
+  const StackId id = entry.id;
+  entries_.Append(std::move(entry));
+  IndexInsertLocked(hash, id);
+  return id;
 }
 
 bool StackTable::MatchesAtDepth(StackId a, StackId b, int depth) const {
@@ -205,11 +200,6 @@ int StackTable::DeepestMatchDepth(StackId a, StackId b) const {
     }
   }
   return deepest;
-}
-
-void StackTable::AddNewStackObserver(NewStackObserver observer) {
-  // Observers are registered at engine construction, before concurrent use.
-  observers_.push_back(std::move(observer));
 }
 
 std::string StackTable::Describe(StackId id) const {

@@ -9,33 +9,33 @@
 // Every distinct call stack observed by the engine (and every stack loaded
 // from the signature history) is interned exactly once and given a dense
 // StackId. For each interned stack we precompute the hash of its top-d
-// frames for d = 1..max_depth, and maintain, per depth, an index from suffix
-// hash to the stacks sharing that suffix. That index is what makes
-// "find all live stacks matching signature stack S at depth d" an O(1)
-// lookup instead of a scan.
+// frames for d = 1..max_depth, which lets MatchesAtDepth reject most pairs
+// with one comparison.
 //
 // Concurrency: interning runs on the application's critical path (every
-// Request hashes and interns the current stack), so the common "stack
-// already interned" case is LOCK-FREE — a probe of an open-addressing index
-// of atomics, then an immutable entry read through an AtomicSlab. Only a
+// Request interns the current stack), so the common "stack already
+// interned" case is LOCK-FREE — a probe of an open-addressing index of
+// atomics, then an immutable entry read through an AtomicSlab. Only a
 // genuinely new stack takes the writer lock. Entry contents never change
 // after publication, so Get/MatchesAtDepth/DeepestMatchDepth/Describe are
-// lock-free too; the per-depth suffix index is consulted only by rare paths
-// (signature-cache rebuilds) and stays under the writer lock.
+// lock-free too.
+//
+// The index is keyed by the fold of frame.h (StackHashStep, outermost frame
+// first). An annotated thread keeps that fold current as it pushes and pops
+// frames, so InternAnnotated finds its stack with no copy and no rehash.
 
 #ifndef DIMMUNIX_STACK_STACK_TABLE_H_
 #define DIMMUNIX_STACK_STACK_TABLE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/atomic_slab.h"
 #include "src/common/spin_lock.h"
+#include "src/stack/annotation.h"
 #include "src/stack/frame.h"
 
 namespace dimmunix {
@@ -47,7 +47,7 @@ constexpr StackId kInvalidStackId = -1;
 struct StackEntry {
   StackId id = kInvalidStackId;
   std::vector<Frame> frames;          // innermost first
-  std::uint64_t full_hash = 0;        // hash over all frames
+  std::uint64_t full_hash = 0;        // StackTable::IndexHash(frames), 0 remapped to 1
   std::vector<std::uint64_t> depth_hash;  // depth_hash[d-1] = hash of top-d frames
 };
 
@@ -60,19 +60,24 @@ class StackTable {
   StackTable& operator=(const StackTable&) = delete;
 
   // Interns `frames`, returning the existing id when already present.
-  // Thread-safe; lock-free when the stack is already interned. Invokes any
-  // registered new-stack observers (outside all internal locks) when a
-  // genuinely new stack is created.
+  // Thread-safe; lock-free when the stack is already interned.
   StackId Intern(const std::vector<Frame>& frames);
+
+  // Interns the stack CaptureStack() returns under `annotated` — its frames
+  // reversed, innermost first — with `innermost` in front when it is not
+  // kInvalidFrame (a global lock's process frame). Same id as Intern of
+  // that vector, but a hit probes the index with the thread's rolling hash
+  // and compares frames in place, building nothing. Returns kInvalidStackId
+  // for an empty annotation stack or one deeper than kMaxCapturedFrames,
+  // which CaptureStack truncates: intern its result instead.
+  StackId InternAnnotated(const AnnotatedStack& annotated, Frame innermost);
+
+  // The index hash of `frames` (innermost first): StackHashStep folded from
+  // the last frame to the first.
+  static std::uint64_t IndexHash(const std::vector<Frame>& frames);
 
   // Entry accessor; the returned reference is valid forever. Lock-free.
   const StackEntry& Get(StackId id) const { return *entries_.Get(static_cast<std::size_t>(id)); }
-
-  // All interned stacks whose top-min(d,len) frames hash-match `entry` at
-  // depth d. The result includes `entry` itself. (Diagnostic/offline query
-  // — the engine's matcher now tracks per-signature membership on the
-  // slots themselves; nothing on the hot path calls this.)
-  std::vector<StackId> MatchingAtDepth(StackId id, int depth) const;
 
   // True iff stacks `a` and `b` match when compared at depth d (§5.5): their
   // top-min(d, len) frames are identical and the shorter stack is only
@@ -84,13 +89,6 @@ class StackTable {
   // 0 if they do not even match at depth 1. Used by the calibration
   // fast-path (§5.5). Lock-free.
   int DeepestMatchDepth(StackId a, StackId b) const;
-
-  // Observer invoked for every newly interned stack (after insertion,
-  // outside all internal locks). The striped engine no longer registers
-  // one (slot memberships are computed lazily); kept as an extension point
-  // for tooling that wants to mirror the table incrementally.
-  using NewStackObserver = std::function<void(const StackEntry&)>;
-  void AddNewStackObserver(NewStackObserver observer);
 
   int max_depth() const { return max_depth_; }
   std::size_t size() const { return entries_.size(); }
@@ -116,24 +114,24 @@ class StackTable {
 
   std::uint64_t SuffixHash(const std::vector<Frame>& frames, int depth) const;
 
-  // Probes `index` for an entry with `hash` whose frames equal `frames`.
-  // Returns kInvalidStackId on miss.
-  StackId Probe(const Index& index, std::uint64_t hash,
-                const std::vector<Frame>& frames) const;
+  // Probes `index` for an entry with `hash` whose frames satisfy
+  // `same(frames)`. Returns kInvalidStackId on miss.
+  template <class SameFrames>
+  StackId Probe(const Index& index, std::uint64_t hash, const SameFrames& same) const;
+
+  // Slow path of a miss: under the writer lock, re-probes and otherwise
+  // appends a new entry for `frames` (whose index hash is `hash`).
+  StackId InsertSlow(std::vector<Frame> frames, std::uint64_t hash);
 
   // Writer-lock held: inserts (hash -> id) into the current index, growing
   // (and republishing) it when load factor exceeds 1/2.
   void IndexInsertLocked(std::uint64_t hash, StackId id);
 
   const int max_depth_;
-  mutable SpinLock lock_;  // serializes writers (insert + depth index)
+  SpinLock lock_;  // serializes writers
   AtomicSlab<StackEntry> entries_;
   std::atomic<Index*> index_;
   std::vector<std::unique_ptr<Index>> retired_;  // old index generations
-  // per depth d (1-based): suffix hash -> ids sharing that suffix. Guarded
-  // by lock_ (rare-path only).
-  std::vector<std::unordered_map<std::uint64_t, std::vector<StackId>>> by_depth_;
-  std::vector<NewStackObserver> observers_;
 };
 
 }  // namespace dimmunix

@@ -104,6 +104,66 @@ TEST(AcquireOpTest, SharedCommitJoinsTheHolderSet) {
   EXPECT_EQ(rt.engine().SharedHolderCount(kLock), 0u);
 }
 
+TEST(AcquireOpTest, UpgradeCommitKeepsOneTupleForTheHold) {
+  Runtime rt(QuietConfig());
+  ScopedFrame scope(FrameFromName("acquire::upgrade"));
+  constexpr LockId kLock = 0x55;
+
+  AcquireOp shared = rt.BeginAcquire(kLock, AcquireMode::kShared);
+  ASSERT_TRUE(shared.Granted());
+  shared.Commit();
+  EXPECT_EQ(rt.engine().Snapshot().allowed_tuples, 1u) << "the request tuple stands for the hold";
+
+  // Same thread, same stack: the upgrade's exclusive request tuple sits in
+  // the shared hold's slot until the commit retires it.
+  AcquireOp upgrade = rt.BeginAcquire(kLock, AcquireMode::kExclusive);
+  ASSERT_EQ(upgrade.Decision(), RequestDecision::kGo);
+  EXPECT_EQ(rt.engine().Snapshot().allowed_tuples, 2u);
+  upgrade.Commit();
+  EXPECT_EQ(rt.engine().Snapshot().allowed_tuples, 1u);
+  EXPECT_EQ(rt.engine().LockOwner(kLock), upgrade.thread());
+
+  rt.EndRelease(kLock);
+  rt.EndRelease(kLock);
+  EXPECT_EQ(rt.engine().Snapshot().allowed_tuples, 0u);
+}
+
+TEST(AcquireOpTest, CommitAfterRefusalStillRecordsTheHold) {
+  Runtime rt(QuietConfig());
+  static const Frame f1 = FrameFromName("acquire::refused_path1");
+  static const Frame f2 = FrameFromName("acquire::refused_path2");
+  constexpr LockId kLockA = 0x56;
+  constexpr LockId kLockB = 0x57;
+  const StackId s1 = rt.stacks().Intern({f1});
+  const StackId s2 = rt.stacks().Intern({f2});
+  bool added = false;
+  rt.history().Add(SignatureKind::kDeadlock, {s1, s2}, /*match_depth=*/4, &added);
+  ASSERT_TRUE(added);
+  rt.engine().NotifyHistoryChanged();
+
+  {
+    ScopedFrame scope(f1);
+    AcquireOp op = rt.BeginAcquire(kLockA, AcquireMode::kExclusive);
+    ASSERT_TRUE(op.Granted());
+    op.Commit();
+  }
+  std::thread t2([&] {
+    ScopedFrame scope(f2);
+    AcquireOp op = rt.TryBeginAcquire(kLockB, AcquireMode::kExclusive);
+    ASSERT_EQ(op.Decision(), RequestDecision::kBusy);
+    EXPECT_EQ(rt.engine().AllowedCount(s2), 0u) << "the refusal retired the request tuple";
+    // An uncancellable adapter (a failed flock conversion keeps the old
+    // kernel lock) commits anyway: the hold must still enter the Allowed set.
+    op.Commit();
+    EXPECT_EQ(rt.engine().AllowedCount(s2), 1u);
+    rt.EndRelease(kLockB);
+    EXPECT_EQ(rt.engine().AllowedCount(s2), 0u);
+  });
+  t2.join();
+  rt.EndRelease(kLockA);
+  EXPECT_EQ(rt.engine().Snapshot().allowed_tuples, 0u);
+}
+
 // --- DIMMUNIX_STRIPES=1: the degenerate single-stripe engine ----------------
 
 TEST(DegenerateStripingTest, SingleStripeEngineStillAvoids) {

@@ -1,8 +1,8 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
-// Property sweeps for the stack table: the per-depth suffix-hash index must
-// agree with a brute-force reference implementation for randomized stack
-// populations.
+// Property sweeps for the stack table: interning and the per-depth suffix
+// hashes must agree with a brute-force reference implementation for
+// randomized stack populations.
 
 #include <gtest/gtest.h>
 
@@ -52,17 +52,13 @@ TEST_P(StackTableProperty, IndexAgreesWithBruteForce) {
   for (std::size_t i = 0; i < stacks.size(); ++i) {
     EXPECT_EQ(table.Intern(stacks[i]), ids[i]);
   }
-  // MatchesAtDepth vs reference, and MatchingAtDepth completeness.
+  // MatchesAtDepth vs reference.
   for (int depth = 1; depth <= 8; ++depth) {
     for (std::size_t i = 0; i < stacks.size(); ++i) {
-      auto matches = table.MatchingAtDepth(ids[i], depth);
-      std::set<StackId> match_set(matches.begin(), matches.end());
       for (std::size_t j = 0; j < stacks.size(); ++j) {
         const bool expected = RefMatches(stacks[i], stacks[j], depth);
         EXPECT_EQ(table.MatchesAtDepth(ids[i], ids[j], depth), expected)
             << "depth " << depth << " i=" << i << " j=" << j;
-        EXPECT_EQ(match_set.count(ids[j]) > 0, expected)
-            << "index disagreement at depth " << depth;
       }
     }
   }

@@ -74,28 +74,16 @@ TEST(StackTableTest, DeepestMatchDepth) {
   EXPECT_EQ(table.DeepestMatchDepth(a, c), 0);
 }
 
-TEST(StackTableTest, MatchingAtDepthFindsAllSuffixSharers) {
+TEST(StackTableTest, SuffixSharersMatchAtTheirDepth) {
   StackTable table(10);
   const StackId a = table.Intern(MakeStack({"l", "m", "o1"}));
   const StackId b = table.Intern(MakeStack({"l", "m", "o2"}));
   const StackId c = table.Intern(MakeStack({"l", "x", "o3"}));
-  auto matches = table.MatchingAtDepth(a, 2);
-  std::sort(matches.begin(), matches.end());
-  EXPECT_EQ(matches, (std::vector<StackId>{a, b}));
-  matches = table.MatchingAtDepth(a, 1);
-  EXPECT_EQ(matches.size(), 3u);
-  matches = table.MatchingAtDepth(c, 2);
-  EXPECT_EQ(matches, (std::vector<StackId>{c}));
-}
-
-TEST(StackTableTest, NewStackObserverFires) {
-  StackTable table(10);
-  std::vector<StackId> observed;
-  table.AddNewStackObserver([&](const StackEntry& entry) { observed.push_back(entry.id); });
-  const StackId a = table.Intern(MakeStack({"a"}));
-  table.Intern(MakeStack({"a"}));  // duplicate: no callback
-  const StackId b = table.Intern(MakeStack({"b"}));
-  EXPECT_EQ(observed, (std::vector<StackId>{a, b}));
+  EXPECT_TRUE(table.MatchesAtDepth(a, b, 2));
+  EXPECT_FALSE(table.MatchesAtDepth(a, c, 2));
+  EXPECT_TRUE(table.MatchesAtDepth(a, c, 1));
+  EXPECT_TRUE(table.MatchesAtDepth(b, c, 1));
+  EXPECT_FALSE(table.MatchesAtDepth(a, b, 3));
 }
 
 TEST(StackTableTest, DescribeUsesSymbolizedNames) {
